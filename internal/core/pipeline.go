@@ -37,6 +37,12 @@ type regionInst struct {
 	lens []geom.Micron // per-segment length inside this region
 	nets []int         // global net id per segment
 
+	// rel is the segments' sensitivity relation, built once on the pool
+	// before the first binding solve (membership never changes after
+	// buildState) and shared read-only by every later solve of the
+	// instance. Nil for flows that never bind (ID+NO).
+	rel *sino.Relation
+
 	sol *sino.Solution
 	k   []float64 // per-segment total coupling under sol
 }
@@ -344,17 +350,21 @@ func (st *chipState) addSeg(in *regionInst, net int, l geom.Micron, kth float64)
 
 // instFor wraps a segment list into a solver instance — the single
 // construction site for every solve the chip issues (Phase II batches,
-// refinement repairs, pass-2 speculation).
-func (st *chipState) instFor(segs []sino.Seg) *sino.Instance {
-	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model}
+// refinement repairs, pass-2 speculation). rel is the list's precomputed
+// sensitivity relation, or nil to let the solver build its own.
+func (st *chipState) instFor(segs []sino.Seg, rel *sino.Relation) *sino.Instance {
+	return &sino.Instance{Segs: segs, Sensitive: st.r.sens.Sensitive, Model: st.r.model, Relation: rel}
 }
 
 // job builds the engine job for one instance. The worker pool swaps in its
-// own model clone and the shared coupling cache.
+// own model clone and the shared coupling cache. A repair job carries the
+// instance's current totals, so the worker starts from them instead of
+// re-evaluating every coupling: in.k is exactly the Check.K of in.sol, and
+// the bound just tightened does not enter it.
 func (st *chipState) job(in *regionInst, mode engine.Mode) engine.Job {
-	j := engine.Job{Inst: st.instFor(in.segs), Mode: mode}
+	j := engine.Job{Inst: st.instFor(in.segs, in.rel), Mode: mode}
 	if mode == engine.ModeRepair {
-		j.Prev = in.sol
+		j.Prev, j.K = in.sol, in.k
 	}
 	return j
 }
@@ -373,6 +383,8 @@ func (st *chipState) solveAll(ctx context.Context, netOrderOnly bool) error {
 	mode := engine.ModeSolve
 	if netOrderOnly {
 		mode = engine.ModeNetOrder
+	} else if err := st.buildRelations(ctx); err != nil {
+		return err
 	}
 	jobs := make([]engine.Job, len(st.orderd))
 	for i, in := range st.orderd {
@@ -389,6 +401,21 @@ func (st *chipState) solveAll(ctx context.Context, netOrderOnly bool) error {
 		st.orderd[i].apply(results[i])
 	}
 	return nil
+}
+
+// buildRelations computes every instance's sensitivity relation on the
+// engine's pool, one task per instance. Only binding solves (SINO and its
+// Phase III re-solves) consult the relation, so the NO baseline skips
+// this; each task writes only its own instance's field.
+func (st *chipState) buildRelations(ctx context.Context) error {
+	tasks := make([]func() error, len(st.orderd))
+	for i, in := range st.orderd {
+		tasks[i] = func() error {
+			in.rel = sino.NewRelation(in.segs, st.r.sens.Sensitive)
+			return nil
+		}
+	}
+	return st.r.eng.RunTasks(ctx, tasks)
 }
 
 // lskOf computes net i's LSK value under the current solutions (Eq. 1).

@@ -76,6 +76,12 @@ type Job struct {
 	Inst *sino.Instance
 	Mode Mode
 	Prev *sino.Solution // ModeRepair only: the solution to improve in place
+
+	// K is optional and ModeRepair only: Prev's current per-segment
+	// coupling totals (the Check.K of Prev's last solve or repair). With
+	// it the worker starts the repair from those totals instead of
+	// re-evaluating every pair coupling; the result is identical.
+	K []float64
 }
 
 // Result is one job's outcome. Sol and Check are nil when Err is set.
@@ -556,7 +562,7 @@ func (e *Engine) solveJob(job *Job, model *keff.Model, ev *sino.Eval) (res Resul
 		if job.Prev == nil {
 			return Result{Err: fmt.Errorf("engine: repair job has no previous solution")}
 		}
-		chk := sino.RepairWith(ev, &inst, job.Prev)
+		chk := sino.RepairWith(ev, &inst, job.Prev, job.K)
 		return Result{Sol: job.Prev, Check: chk}
 	default:
 		return Result{Err: fmt.Errorf("engine: unknown mode %d", int(job.Mode))}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -87,19 +88,31 @@ func TestRepairMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	repairs := make([]Job, len(jobs))
+	known := make([]Job, len(jobs))
 	for i := range jobs {
-		// Tighten one bound, then repair the existing solution in place.
+		// Tighten one bound, then repair the existing solution in place —
+		// once from scratch, once from the known totals with a shared
+		// relation, the way Phase III issues it.
 		segs := append([]sino.Seg(nil), jobs[i].Inst.Segs...)
 		segs[0].Kth = 0.1
-		repairs[i] = Job{
-			Inst: &sino.Instance{Segs: segs, Sensitive: jobs[i].Inst.Sensitive, Model: jobs[i].Inst.Model},
-			Mode: ModeRepair,
-			Prev: base[i].Sol,
-		}
+		in := &sino.Instance{Segs: segs, Sensitive: jobs[i].Inst.Sensitive, Model: jobs[i].Inst.Model}
+		shared := *in
+		shared.Relation = sino.NewRelation(segs, in.Sensitive)
+		known[i] = Job{Inst: &shared, Mode: ModeRepair, Prev: base[i].Sol.Clone(), K: base[i].Check.K}
+		repairs[i] = Job{Inst: in, Mode: ModeRepair, Prev: base[i].Sol}
 	}
 	res, err := New(Config{Workers: 4}).Run(context.Background(), repairs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	kres, err := New(Config{Workers: 4}).Run(context.Background(), known)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range kres {
+		if kres[i].Err != nil || !reflect.DeepEqual(kres[i].Sol, res[i].Sol) || !reflect.DeepEqual(kres[i].Check, res[i].Check) {
+			t.Errorf("repair job %d: known-total repair differs from a full one (err %v)", i, kres[i].Err)
+		}
 	}
 	for i := range res {
 		if res[i].Err != nil {
@@ -119,12 +132,14 @@ func TestPerJobErrorPropagation(t *testing.T) {
 	jobs := makeJobs(6, ModeSolve)
 	jobs[2].Inst.Segs[0].Kth = -1                       // sino.Solve panics on invalid instances
 	jobs[4] = Job{Mode: ModeRepair, Inst: jobs[4].Inst} // missing Prev
+	sol, _ := sino.Solve(jobs[5].Inst)
+	jobs[5] = Job{Mode: ModeRepair, Inst: jobs[5].Inst, Prev: sol, K: []float64{1}} // totals of the wrong length
 	res, err := New(Config{Workers: 3}).Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
-		wantErr := i == 2 || i == 4
+		wantErr := i == 2 || i == 4 || i == 5
 		if (r.Err != nil) != wantErr {
 			t.Errorf("job %d: err = %v, want error: %v", i, r.Err, wantErr)
 		}

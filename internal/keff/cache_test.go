@@ -2,6 +2,7 @@ package keff
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -121,5 +122,47 @@ func TestPairCacheConcurrentUse(t *testing.T) {
 	}
 	if c.HitRate() == 0 {
 		t.Error("hit rate is zero after repeated identical evaluations")
+	}
+}
+
+// TestCutoffTotalsStayInDenseTier pins the dense tier's coverage claim:
+// under the default model every key the cutoff-bounded totals produce —
+// TrackTotal and AllTotalsInto, at any layout width and shield density —
+// lands in the dense tier. A single pair beyond the cutoff, as the
+// solver's sidePull evaluates, is what falls to the overflow maps.
+func TestCutoffTotalsStayInDenseTier(t *testing.T) {
+	m := NewModel(tech.Default())
+	cache := NewPairCacheFor(m)
+	cp := NewCoupler(m, cache)
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 30, 100, 300} {
+		for _, frac := range []float64{0, 0.05, 0.3} {
+			l := randomLayout(n, frac, rng)
+			shields := m.ShieldTableInto(l.Tracks, nil)
+			out := make([]float64, n)
+			cp.AllTotalsInto(l.Tracks, shields, allPairsSensitive, out)
+			for ti := range l.Tracks {
+				if l.Tracks[ti].Kind == SignalTrack {
+					cp.TrackTotal(l.Tracks, shields, ti, allPairsSensitive)
+				}
+			}
+		}
+	}
+	cp.Flush()
+	if cache.DenseLen() == 0 {
+		t.Fatal("no geometry reached the dense tier")
+	}
+	if n := cache.OverflowLen(); n != 0 {
+		t.Fatalf("%d cutoff-bounded geometries fell to the overflow tier", n)
+	}
+
+	l := randomLayout(120, 0, rng)
+	shields := m.ShieldTableInto(l.Tracks, nil)
+	far := m.PairCutoff() + 10
+	cp.Pair(far, 0, shields[far], shields[0])
+	cp.Flush()
+	if cache.OverflowLen() != 1 {
+		t.Fatalf("a pair %d tracks apart (beyond the cutoff) should land in the overflow tier, overflow = %d",
+			far, cache.OverflowLen())
 	}
 }

@@ -68,21 +68,58 @@ func benchSolveBody(b *testing.B, n int, shared bool) {
 // benchRepairBody measures the shield-insertion-only re-solve used by
 // Phase III pass 1: an existing solution whose bounds tightened a little.
 func benchRepairBody(b *testing.B, n int, shared bool) {
-	in := benchInstance(n, 0.4, 0.55, shared)
-	seed, _ := Solve(in)
-	// Tighten every bound the way refinement does, so Repair has real
-	// insertion work on each iteration.
-	tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: in.Model, Cache: in.Cache}
-	for i := range tight.Segs {
-		tight.Segs[i].Kth *= 0.7
+	tight, seed, _ := repairSetup(n, shared, false)
+	runRepair(b, tight, seed, nil)
+}
+
+// benchWideRepairBody is the repair re-solve in Phase III's shape on a
+// region-sized instance: one segment's bound tightens per re-solve. With
+// known set it runs as Phase III issues it — a precomputed sensitivity
+// relation on the instance and the solution's known totals, so neither
+// the O(n²) relation nor the O(n·cutoff) totals are rebuilt per call.
+func benchWideRepairBody(b *testing.B, n int, known bool) {
+	tight, seed, k := repairSetup(n, true, true)
+	if !known {
+		k = nil
+	} else {
+		tight.Relation = NewRelation(tight.Segs, tight.Sensitive)
 	}
+	runRepair(b, tight, seed, k)
+}
+
+func runRepair(b *testing.B, tight *Instance, seed *Solution, k []float64) {
 	ev := NewEval()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := seed.Clone()
-		RepairWith(ev, tight, s)
+		RepairWith(ev, tight, s, k)
 	}
+}
+
+// repairSetup solves a bench instance and tightens bounds so each repair
+// has real insertion work: every bound by 30%, or with one set only the
+// most coupled segment's bound to 70% of its coupling, the way a Phase III
+// re-solve arrives. It returns the tightened instance, the solution to
+// repair, and that solution's totals.
+func repairSetup(n int, shared, one bool) (*Instance, *Solution, []float64) {
+	in := benchInstance(n, 0.4, 0.55, shared)
+	seed, chk := Solve(in)
+	tight := &Instance{Segs: append([]Seg(nil), in.Segs...), Sensitive: in.Sensitive, Model: in.Model, Cache: in.Cache}
+	if !one {
+		for i := range tight.Segs {
+			tight.Segs[i].Kth *= 0.7
+		}
+		return tight, seed, chk.K
+	}
+	worst := 0
+	for i, k := range chk.K {
+		if k > chk.K[worst] {
+			worst = i
+		}
+	}
+	tight.Segs[worst].Kth = 0.7 * chk.K[worst]
+	return tight, seed, chk.K
 }
 
 // benchPolishBody isolates the shield-removal polish pass: a feasible
@@ -112,35 +149,58 @@ func benchPolishBody(b *testing.B, n int, shared bool) {
 	}
 }
 
+// wideSegs is about the width of a full-scale ibm01 region instance,
+// where Phase III's per-re-solve relation and load costs dominate.
+const wideSegs = 240
+
+// benchCell is one benchmark beyond a family's size × cache grid.
+type benchCell struct {
+	name string
+	body func(b *testing.B)
+}
+
 // kernelBenchFamilies maps family names to bodies — shared by the
 // Benchmark* entry points and the -benchjson smoke.
 var kernelBenchFamilies = []struct {
-	name string
-	body func(b *testing.B, n int, shared bool)
+	name  string
+	body  func(b *testing.B, n int, shared bool)
+	extra []benchCell
 }{
-	{"solve", benchSolveBody},
-	{"repair", benchRepairBody},
-	{"polish", benchPolishBody},
+	{"solve", benchSolveBody, nil},
+	{"repair", benchRepairBody, []benchCell{
+		{benchName("segs", wideSegs, "cache"), func(b *testing.B) { benchWideRepairBody(b, wideSegs, false) }},
+		{benchName("segs", wideSegs, "known"), func(b *testing.B) { benchWideRepairBody(b, wideSegs, true) }},
+	}},
+	{"polish", benchPolishBody, nil},
 }
 
-func runKernelFamily(b *testing.B, body func(b *testing.B, n int, shared bool)) {
+// kernelCells lists family fam's cells: the size × cache grid, then its
+// extra cells.
+func kernelCells(fam int) []benchCell {
+	f := kernelBenchFamilies[fam]
+	var cells []benchCell
 	for _, n := range benchSizes {
 		for _, shared := range []bool{false, true} {
-			n, shared := n, shared
-			b.Run(benchName("segs", n, cacheArm(shared)), func(b *testing.B) {
-				body(b, n, shared)
-			})
+			cells = append(cells, benchCell{benchName("segs", n, cacheArm(shared)), func(b *testing.B) { f.body(b, n, shared) }})
 		}
+	}
+	return append(cells, f.extra...)
+}
+
+func runKernelFamily(b *testing.B, fam int) {
+	for _, c := range kernelCells(fam) {
+		b.Run(c.name, c.body)
 	}
 }
 
 // BenchmarkSINOSolve measures one full greedy region solve at kernel
 // sizes, with and without a shared pair-coupling cache (the engine always
 // supplies one; direct callers usually do not).
-func BenchmarkSINOSolve(b *testing.B) { runKernelFamily(b, benchSolveBody) }
+func BenchmarkSINOSolve(b *testing.B) { runKernelFamily(b, 0) }
 
-// BenchmarkSINORepair measures the Phase III pass 1 re-solve.
-func BenchmarkSINORepair(b *testing.B) { runKernelFamily(b, benchRepairBody) }
+// BenchmarkSINORepair measures the Phase III pass 1 re-solve; at wideSegs
+// it also runs the known arm, the re-solve as Phase III issues it.
+func BenchmarkSINORepair(b *testing.B) { runKernelFamily(b, 1) }
 
 // BenchmarkSINOPolish measures the polish pass alone.
-func BenchmarkSINOPolish(b *testing.B) { runKernelFamily(b, benchPolishBody) }
+func BenchmarkSINOPolish(b *testing.B) { runKernelFamily(b, 2) }

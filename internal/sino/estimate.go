@@ -153,7 +153,7 @@ func GenerateFitSamples(cfg FitConfig) []FitSample {
 // load-bearing: it fixes the rng stream, so fitted coefficients are
 // unchanged from the map-backed implementation.
 func randomSensitivity(n int, rates []float64, rng *rand.Rand) func(a, b int) bool {
-	var bs triBits
+	var bs Relation
 	bs.reset(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

@@ -43,7 +43,8 @@ import (
 type Eval struct {
 	in     *Instance
 	cp     *keff.Coupler
-	sens   triBits             // pairwise sensitivity, by segment index
+	sens   *Relation           // pairwise sensitivity, by segment index: in.Relation or &own
+	own    Relation            // private relation for instances that carry none
 	sensFn func(a, b int) bool // closure over sens, in keff layout terms
 
 	tracks  []int       // current track assignment: segment index or Shield
@@ -73,7 +74,7 @@ type Eval struct {
 // are invariant under the worker count, like every other surfaced counter.
 type EvalStats struct {
 	Binds     uint64 // instances attached (Bind)
-	Loads     uint64 // full solution loads — each an O(n·cutoff) rebuild
+	Loads     uint64 // full solution loads (Load) — each an O(n·cutoff) rebuild; LoadKnown is not counted
 	Edits     uint64 // incremental ops: inserts, removes, swaps (O(window) each)
 	Rollbacks uint64 // one-level undo restores (O(n) integer rebuild)
 }
@@ -106,12 +107,13 @@ func NewEval() *Eval { return &Eval{} }
 // instances skip it, evaluator reuse enables it regardless.
 const memoMinSegs = 16
 
-// Bind attaches the evaluator to an instance: it snapshots the pairwise
-// sensitivity relation into a bitset (the relation is consulted thousands
-// of times per solve on the same pairs) and keeps the coupling front end
-// warm — the keff.Coupler, and with it the private pair-coupling memo,
-// carries over whenever the instance shares the previous one's Model and
-// Cache, which is exactly the engine's per-worker situation.
+// Bind attaches the evaluator to an instance: it adopts the instance's
+// precomputed sensitivity Relation, or builds a private one when the
+// instance carries none (the relation is consulted thousands of times per
+// solve on the same pairs), and keeps the coupling front end warm — the
+// keff.Coupler, and with it the private pair-coupling memo, carries over
+// whenever the instance shares the previous one's Model and Cache, which
+// is exactly the engine's per-worker situation.
 func (e *Eval) Bind(in *Instance) {
 	n := len(in.Segs)
 	e.in = in
@@ -127,13 +129,11 @@ func (e *Eval) Bind(in *Instance) {
 		// always pays for itself, whatever the instance size.
 		e.cp.EnableMemo()
 	}
-	e.sens.reset(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if in.Sensitive(in.Segs[i].Net, in.Segs[j].Net) {
-				e.sens.set(i, j)
-			}
-		}
+	if in.Relation != nil {
+		e.sens = in.Relation
+	} else {
+		e.own.build(in.Segs, in.Sensitive)
+		e.sens = &e.own
 	}
 	if e.sensFn == nil {
 		e.sensFn = func(a, b int) bool { return e.sens.get(a, b) }
@@ -148,8 +148,49 @@ func (e *Eval) Bind(in *Instance) {
 // duplicated, or unknown segments); on error the evaluator must be
 // Loaded again before use.
 func (e *Eval) Load(s *Solution) error {
-	n := len(e.in.Segs)
 	e.stats.Loads++
+	if err := e.loadTracks(s); err != nil {
+		return err
+	}
+	e.kt = growFloats(e.kt, len(e.layout.Tracks))
+	e.cp.AllTotalsInto(e.layout.Tracks, e.shields, e.sensFn, e.kt)
+	e.cp.Flush()
+	e.k = growFloats(e.k, len(e.in.Segs))
+	for t, v := range e.tracks {
+		if v != Shield {
+			e.k[v] = e.kt[t]
+		}
+	}
+	e.countOver()
+	return nil
+}
+
+// LoadKnown is Load for a caller that already holds s's per-segment
+// coupling totals k — the Check.K of s under the bound instance. Totals
+// depend only on the track layout and the sensitivity relation, never on
+// the bounds, so a report taken before a Kth changed still applies. The
+// evaluator adopts k instead of re-evaluating any coupling: it rebuilds
+// the position index, shield table and cap-pair count, then recounts the
+// over-bound segments against the current bounds in O(n). The state is
+// then identical to Load(s). A k of the wrong length is rejected; totals
+// that are not s's exact ones are a caller bug the evaluator cannot see.
+func (e *Eval) LoadKnown(s *Solution, k []float64) error {
+	if len(k) != len(e.in.Segs) {
+		return fmt.Errorf("sino: %d known totals for %d segments", len(k), len(e.in.Segs))
+	}
+	if err := e.loadTracks(s); err != nil {
+		return err
+	}
+	e.k = append(e.k[:0], k...)
+	e.countOver()
+	return nil
+}
+
+// loadTracks is the coupling-free half of a load: it adopts s's track
+// assignment and rebuilds the layout mirror, position index, shield
+// table, shield count and cap-pair count, reporting structural problems.
+func (e *Eval) loadTracks(s *Solution) error {
+	n := len(e.in.Segs)
 	e.tracks = append(e.tracks[:0], s.Tracks...)
 	e.pos = growInts(e.pos, n)
 	for i := range e.pos {
@@ -180,21 +221,17 @@ func (e *Eval) Load(s *Solution) error {
 	}
 	e.shields = e.in.Model.ShieldTableInto(lt, e.shields)
 	e.capPairs = e.capCount()
+	return nil
+}
 
-	e.kt = growFloats(e.kt, len(lt))
-	e.cp.AllTotalsInto(lt, e.shields, e.sensFn, e.kt)
-	e.cp.Flush()
-	e.k = growFloats(e.k, n)
+// countOver recounts the segments whose total exceeds their bound.
+func (e *Eval) countOver() {
 	e.nOver = 0
-	for t, v := range e.tracks {
-		if v != Shield {
-			e.k[v] = e.kt[t]
-			if e.kt[t] > e.in.Segs[v].Kth {
-				e.nOver++
-			}
+	for i, k := range e.k {
+		if k > e.in.Segs[i].Kth {
+			e.nOver++
 		}
 	}
-	return nil
 }
 
 // InsertShield inserts a shield track at position at ∈ [0, NumTracks()].
@@ -502,39 +539,71 @@ func (e *Eval) sidePull(pos int) (left, right float64) {
 	return left, right
 }
 
-// triBits is a dense bitset over unordered pairs drawn from {0..n-1}. It
-// stores both orientations of each pair (a row bitmap per element), so a
-// lookup is one shift-and-mask with no normalization branches and no
-// triangular index arithmetic — it sits in every solver inner loop. The
-// diagonal is never set, so get(a, a) is false by construction.
-type triBits struct {
+// Relation is an instance's pairwise segment sensitivity relation, by
+// segment index: a dense bitset over unordered pairs. It stores both
+// orientations of each pair (a row bitmap per segment), so a lookup is one
+// shift-and-mask with no normalization branches and no triangular index
+// arithmetic — it sits in every solver inner loop. The diagonal is never
+// set, so a segment is not sensitive to itself.
+//
+// The relation depends only on which nets an instance holds — not on the
+// bounds, the track order or the model — so a caller that re-solves one
+// segment list many times builds it once with NewRelation and attaches it
+// to every Instance of that list; Bind then adopts it instead of
+// rebuilding the O(n²) bitset per solve. A Relation is never written after
+// construction, so any number of evaluators may read it concurrently.
+type Relation struct {
+	n      int
 	stride int // words per row
 	bits   []uint64
 }
 
+// NewRelation builds the sensitivity relation of segs under sensitive
+// (by net identifiers, symmetric) — the same builder Bind runs for an
+// instance that carries no relation.
+func NewRelation(segs []Seg, sensitive func(a, b int) bool) *Relation {
+	r := new(Relation)
+	r.build(segs, sensitive)
+	return r
+}
+
+// build fills the relation for segs, reusing storage.
+func (r *Relation) build(segs []Seg, sensitive func(a, b int) bool) {
+	n := len(segs)
+	r.reset(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if sensitive(segs[i].Net, segs[j].Net) {
+				r.set(i, j)
+			}
+		}
+	}
+}
+
 // reset sizes the bitset for n elements and clears it, reusing storage.
-func (t *triBits) reset(n int) {
-	t.stride = (n + 63) / 64
-	words := n * t.stride
-	if cap(t.bits) < words {
-		t.bits = make([]uint64, words)
+func (r *Relation) reset(n int) {
+	r.n = n
+	r.stride = (n + 63) / 64
+	words := n * r.stride
+	if cap(r.bits) < words {
+		r.bits = make([]uint64, words)
 		return
 	}
-	t.bits = t.bits[:words]
-	for i := range t.bits {
-		t.bits[i] = 0
+	r.bits = r.bits[:words]
+	for i := range r.bits {
+		r.bits[i] = 0
 	}
 }
 
 // set marks the pair (i, j), i < j, in both orientations.
-func (t *triBits) set(i, j int) {
-	t.bits[i*t.stride+j>>6] |= 1 << (j & 63)
-	t.bits[j*t.stride+i>>6] |= 1 << (i & 63)
+func (r *Relation) set(i, j int) {
+	r.bits[i*r.stride+j>>6] |= 1 << (j & 63)
+	r.bits[j*r.stride+i>>6] |= 1 << (i & 63)
 }
 
 // get reports whether the unordered pair {a, b} is marked; false for a == b.
-func (t *triBits) get(a, b int) bool {
-	return t.bits[a*t.stride+b>>6]&(1<<(b&63)) != 0
+func (r *Relation) get(a, b int) bool {
+	return r.bits[a*r.stride+b>>6]&(1<<(b&63)) != 0
 }
 
 // growInts returns s resized to n, reallocating only when needed.

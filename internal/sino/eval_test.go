@@ -98,50 +98,221 @@ func runEditScript(t *testing.T, in *Instance, n int, rate float64, seed int64) 
 		steps = 15
 	}
 	for step := 0; step < steps; step++ {
-		nt := e.NumTracks()
-		switch rng.Intn(6) {
-		case 0:
-			e.InsertShield(rng.Intn(nt + 1))
-		case 1:
-			if e.NumShields() == 0 {
-				continue
-			}
-			var shields []int
-			for p, v := range e.tracks {
-				if v == Shield {
-					shields = append(shields, p)
-				}
-			}
-			e.RemoveShield(shields[rng.Intn(len(shields))])
-		case 2:
-			if nt < 2 {
-				continue
-			}
-			e.SwapAdjacent(rng.Intn(nt - 1))
-		case 3:
-			if nt < 2 {
-				continue
-			}
-			e.swapAny(rng.Intn(nt), rng.Intn(nt))
-		case 4: // relocate
-			if nt < 2 {
-				continue
-			}
-			v := e.removeAt(rng.Intn(nt))
-			e.insertAt(rng.Intn(e.NumTracks()+1), v)
-		case 5: // probe and roll back, like a polish trial
-			before := e.Solution()
-			e.mark()
-			e.InsertShield(rng.Intn(nt + 1))
-			if e.NumTracks() >= 2 {
-				e.SwapAdjacent(rng.Intn(e.NumTracks() - 1))
-			}
-			e.rollback()
-			if !reflect.DeepEqual(e.Solution(), before) {
-				t.Fatalf("n=%d rate=%g step %d: rollback did not restore tracks", n, rate, step)
+		randomEdit(t, e, rng)
+		assertEvalMatchesVerify(t, in, e, "after step")
+	}
+}
+
+// randomEdit applies one random edit-script operation to e. The draws
+// depend only on rng and e's state, so two evaluators in the same state
+// fed identically seeded streams apply identical scripts.
+func randomEdit(t *testing.T, e *Eval, rng *rand.Rand) {
+	t.Helper()
+	nt := e.NumTracks()
+	switch rng.Intn(6) {
+	case 0:
+		e.InsertShield(rng.Intn(nt + 1))
+	case 1:
+		if e.NumShields() == 0 {
+			return
+		}
+		var shields []int
+		for p, v := range e.tracks {
+			if v == Shield {
+				shields = append(shields, p)
 			}
 		}
-		assertEvalMatchesVerify(t, in, e, "after step")
+		e.RemoveShield(shields[rng.Intn(len(shields))])
+	case 2:
+		if nt < 2 {
+			return
+		}
+		e.SwapAdjacent(rng.Intn(nt - 1))
+	case 3:
+		if nt < 2 {
+			return
+		}
+		e.swapAny(rng.Intn(nt), rng.Intn(nt))
+	case 4: // relocate
+		if nt < 2 {
+			return
+		}
+		v := e.removeAt(rng.Intn(nt))
+		e.insertAt(rng.Intn(e.NumTracks()+1), v)
+	case 5: // probe and roll back, like a polish trial
+		before := e.Solution()
+		e.mark()
+		e.InsertShield(rng.Intn(nt + 1))
+		if e.NumTracks() >= 2 {
+			e.SwapAdjacent(rng.Intn(e.NumTracks() - 1))
+		}
+		e.rollback()
+		if !reflect.DeepEqual(e.Solution(), before) {
+			t.Fatalf("rollback did not restore tracks")
+		}
+	}
+}
+
+// assertSameEvalState requires two evaluators bound to the same instance
+// to hold identical state: tracks, derived arrays, counters, and totals
+// to the bit.
+func assertSameEvalState(t *testing.T, a, b *Eval, ctx string) {
+	t.Helper()
+	if !reflect.DeepEqual(a.tracks, b.tracks) || !reflect.DeepEqual(a.pos, b.pos) ||
+		!reflect.DeepEqual(a.layout, b.layout) || !reflect.DeepEqual(a.shields, b.shields) {
+		t.Fatalf("%s: track state differs:\nfull  %v\nknown %v", ctx, a.tracks, b.tracks)
+	}
+	if a.capPairs != b.capPairs || a.nShields != b.nShields || a.nOver != b.nOver {
+		t.Fatalf("%s: counters differ: full cap %d shields %d over %d, known cap %d shields %d over %d",
+			ctx, a.capPairs, a.nShields, a.nOver, b.capPairs, b.nShields, b.nOver)
+	}
+	if len(a.k) != len(b.k) {
+		t.Fatalf("%s: %d vs %d totals", ctx, len(a.k), len(b.k))
+	}
+	for i := range a.k {
+		if math.Float64bits(a.k[i]) != math.Float64bits(b.k[i]) {
+			t.Fatalf("%s: segment %d total bits differ: %x vs %x", ctx, i, math.Float64bits(a.k[i]), math.Float64bits(b.k[i]))
+		}
+	}
+	if ca, cb := a.Check(), b.Check(); !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("%s: Check differs:\nfull  %+v\nknown %+v", ctx, ca, cb)
+	}
+}
+
+// TestLoadKnownMatchesLoad is the oracle for known-total loads: the edit
+// scripts of TestEvalMatchesVerifyOnEditScripts run on two evaluators,
+// one reloading with a full Load and one with LoadKnown from the previous
+// Check.K, with random bound tightening between loads (totals never
+// depend on the bounds, so the old K stays valid). After every load and
+// every edit the two must agree field for field, K bits included.
+func TestLoadKnownMatchesLoad(t *testing.T) {
+	for _, bg := range []int{0, 2} {
+		for _, n := range []int{1, 2, 5, 13, 28, 40} {
+			for _, rate := range []float64{0.1, 0.5, 0.8} {
+				seed := int64(n)*100 + int64(rate*10) + int64(bg)
+				in := testInstance(n, rate, 0.55, seed)
+				if bg > 0 {
+					in.Model.BackgroundReturn = bg
+				}
+				runKnownLoadScript(t, in, n, rate, seed)
+			}
+		}
+	}
+}
+
+func runKnownLoadScript(t *testing.T, in *Instance, n int, rate float64, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed * 17))
+	full, known := NewEval(), NewEval()
+	full.Bind(in)
+	known.Bind(in)
+	sol := randomSolution(n, rate, rng)
+	k := in.Verify(sol).K
+	rounds, steps := 6, 12
+	if testing.Short() {
+		rounds = 3
+	}
+	for round := 0; round < rounds; round++ {
+		for i := range in.Segs {
+			if rng.Intn(3) == 0 {
+				in.Segs[i].Kth *= 0.5 + 0.5*rng.Float64()
+			}
+		}
+		if err := full.Load(sol); err != nil {
+			t.Fatalf("n=%d rate=%g: load: %v", n, rate, err)
+		}
+		if err := known.LoadKnown(sol, k); err != nil {
+			t.Fatalf("n=%d rate=%g: known load: %v", n, rate, err)
+		}
+		assertSameEvalState(t, full, known, "after load")
+		assertEvalMatchesVerify(t, in, known, "after known load")
+
+		editSeed := rng.Int63()
+		ra, rb := rand.New(rand.NewSource(editSeed)), rand.New(rand.NewSource(editSeed))
+		for step := 0; step < steps; step++ {
+			randomEdit(t, full, ra)
+			randomEdit(t, known, rb)
+			assertSameEvalState(t, full, known, "after edit")
+		}
+		assertEvalMatchesVerify(t, in, known, "after edits")
+		sol, k = known.Solution(), known.Check().K
+	}
+}
+
+// TestLoadKnownRejectsWrongLength pins the guard on the caller's totals:
+// a K slice that does not cover exactly the bound instance's segments is
+// rejected by LoadKnown and by RepairWith, never silently adopted.
+func TestLoadKnownRejectsWrongLength(t *testing.T) {
+	in := testInstance(6, 0.5, 0.7, 3)
+	sol, chk := Solve(in)
+	e := NewEval()
+	e.Bind(in)
+	for _, k := range [][]float64{nil, chk.K[:5], append(append([]float64(nil), chk.K...), 0)} {
+		if err := e.LoadKnown(sol, k); err == nil {
+			t.Errorf("LoadKnown accepted %d totals for %d segments", len(k), len(in.Segs))
+		}
+		func() {
+			defer func() {
+				if recover() == nil && k != nil {
+					t.Errorf("RepairWith accepted %d totals for %d segments", len(k), len(in.Segs))
+				}
+			}()
+			RepairWith(NewEval(), in, sol.Clone(), k)
+		}()
+	}
+	if err := e.LoadKnown(sol, chk.K); err != nil {
+		t.Fatalf("LoadKnown rejected the solution's own totals: %v", err)
+	}
+}
+
+// TestSharedRelationMatchesPrivate checks that a precomputed relation
+// changes nothing: solves and repairs on an instance carrying one are
+// bit-identical to the same calls building a private one, with and
+// without known totals, on one pooled evaluator as the engine runs them.
+func TestSharedRelationMatchesPrivate(t *testing.T) {
+	ev := NewEval()
+	for seed := int64(0); seed < 8; seed++ {
+		n := 3 + int(seed)*7
+		in := testInstance(n, 0.45, 0.6, seed)
+		rel := NewRelation(in.Segs, in.Sensitive)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if rel.get(i, j) != (i != j && in.sensitiveSegs(i, j)) {
+					t.Fatalf("seed %d: relation pair (%d,%d) disagrees with the instance", seed, i, j)
+				}
+			}
+		}
+		shared := *in
+		shared.Relation = rel
+
+		ps, pc := SolveWith(ev, in)
+		ss, sc := SolveWith(ev, &shared)
+		if !reflect.DeepEqual(ps, ss) || !reflect.DeepEqual(pc, sc) {
+			t.Fatalf("seed %d: solve with shared relation differs", seed)
+		}
+
+		for i := range in.Segs {
+			in.Segs[i].Kth *= 0.7 // shared aliases the same segments
+		}
+		priv := ps.Clone()
+		privChk := RepairWith(ev, in, priv, nil)
+		for _, k := range [][]float64{nil, pc.K} {
+			got := ps.Clone()
+			gotChk := RepairWith(ev, &shared, got, k)
+			if !reflect.DeepEqual(priv, got) || !reflect.DeepEqual(privChk, gotChk) {
+				t.Fatalf("seed %d (known K %v): repair with shared relation differs", seed, k != nil)
+			}
+		}
+	}
+}
+
+// TestValidateRejectsMismatchedRelation guards the one way a shared
+// relation can be wrong that the instance can detect: its size.
+func TestValidateRejectsMismatchedRelation(t *testing.T) {
+	in := testInstance(5, 0.5, 0.7, 1)
+	in.Relation = NewRelation(in.Segs[:4], in.Sensitive)
+	if in.Validate() == nil {
+		t.Fatal("relation over 4 segments accepted for a 5-segment instance")
 	}
 }
 
@@ -172,7 +343,7 @@ func TestSolveWithPooledEvaluatorMatchesFresh(t *testing.T) {
 		for i := range tight.Segs {
 			tight.Segs[i].Kth *= 0.7
 		}
-		rChk := RepairWith(ev, tight, rs)
+		rChk := RepairWith(ev, tight, rs, nil)
 		fChk := Repair(tight, fs)
 		if !reflect.DeepEqual(rs, fs) || !reflect.DeepEqual(rChk, fChk) {
 			t.Fatalf("seed %d: pooled repair differs", seed)

@@ -1,6 +1,7 @@
 package sino
 
 import (
+	"fmt"
 	"sort"
 )
 
@@ -171,18 +172,32 @@ func (e *Eval) repairK() {
 // used by Phase III refinement, where bounds change a little at a time and
 // the existing ordering is worth keeping.
 func Repair(in *Instance, s *Solution) *Check {
-	return RepairWith(NewEval(), in, s)
+	return RepairWith(NewEval(), in, s, nil)
 }
 
 // RepairWith is Repair on a caller-supplied evaluator (see SolveWith). A
+// non-nil k is s's current per-segment totals — the Check.K of s under
+// in, which a tighter bound leaves unchanged — and lets the evaluator
+// start from them (Eval.LoadKnown) instead of re-evaluating every pair
+// coupling; the result is identical either way. A k whose length is not
+// the instance's segment count panics like an invalid instance. A
 // structurally invalid solution is returned unrepaired with its Verify
 // report — there is no meaningful repair for a broken track assignment.
-func RepairWith(e *Eval, in *Instance, s *Solution) *Check {
+func RepairWith(e *Eval, in *Instance, s *Solution, k []float64) *Check {
 	if err := in.Validate(); err != nil {
 		panic(err.Error())
 	}
+	if k != nil && len(k) != len(in.Segs) {
+		panic(fmt.Sprintf("sino: repair given %d known totals for %d segments", len(k), len(in.Segs)))
+	}
 	e.Bind(in)
-	if err := e.Load(s); err != nil {
+	var err error
+	if k != nil {
+		err = e.LoadKnown(s, k)
+	} else {
+		err = e.Load(s)
+	}
+	if err != nil {
 		return in.Verify(s)
 	}
 	e.repairK()

@@ -42,6 +42,13 @@ type Instance struct {
 	// yields bit-identical couplings, just faster. The engine package wires
 	// one shared cache into every worker's instances.
 	Cache *keff.PairCache
+
+	// Relation optionally carries the segment sensitivity relation of Segs
+	// under Sensitive, precomputed with NewRelation. Nil makes every solve
+	// build a private one. Callers that re-solve the same segment list many
+	// times (Phase III refinement) share one read-only relation across all
+	// of those solves; it must cover exactly Segs.
+	Relation *Relation
 }
 
 // Validate reports the first structural problem with the instance.
@@ -51,6 +58,9 @@ func (in *Instance) Validate() error {
 	}
 	if in.Model == nil {
 		return fmt.Errorf("sino: instance has no coupling model")
+	}
+	if in.Relation != nil && in.Relation.n != len(in.Segs) {
+		return fmt.Errorf("sino: sensitivity relation covers %d segments, instance has %d", in.Relation.n, len(in.Segs))
 	}
 	for i, s := range in.Segs {
 		if s.Kth <= 0 {
