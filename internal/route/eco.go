@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -340,7 +339,7 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	for i := range r.nets {
 		r.bumpNet(i)
 		if redrain[i] {
-			r.pushNet(i)
+			r.pushNet(i, &r.pq)
 		}
 	}
 
@@ -361,12 +360,12 @@ func RunShardedResume(ctx context.Context, g *grid.Grid, cfg Config, nets []Net,
 	}
 	ssp := scfg.Trace.Start(scfg.Lane, "route", "heap split").Arg("shards", int64(len(views)))
 	for _, it := range r.pq {
-		v := views[owner[it.net]]
+		v := views[owner[it.net()]]
 		v.pq = append(v.pq, it)
 	}
 	r.pq = nil
 	for _, v := range views {
-		heap.Init(&v.pq)
+		v.pq.init()
 	}
 	ssp.End()
 

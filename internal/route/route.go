@@ -39,7 +39,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -213,47 +212,98 @@ type Router struct {
 	sumSH, sumSV   []float64
 	sumS2H, sumS2V []float64
 
+	// pq holds the seeded items in push order; each runner moves them into
+	// its views' heaps and heapifies there.
 	pq edgeHeap
 }
 
-// item is a heap entry (lazy: may be stale).
+// item is a heap entry (lazy: may be stale). id packs the edge identity
+// as net<<32 | edge<<1 | vert, so ascending id is the tie-break order of
+// the heap: net, then local edge, then horizontal before vertical.
 type item struct {
-	net  int32
-	edge int32
-	horz bool
-	key  float64
+	key float64
+	id  uint64
 }
 
+func newItem(net, edge int, horz bool, key float64) item {
+	id := uint64(net)<<32 | uint64(edge)<<1
+	if !horz {
+		id |= 1
+	}
+	return item{key: key, id: id}
+}
+
+func (it item) net() int   { return int(it.id >> 32) }
+func (it item) edge() int  { return int(uint32(it.id) >> 1) }
+func (it item) horz() bool { return it.id&1 == 0 }
+
+// before orders the max-heap by key, with a total tie-break on the edge
+// identity. The total order makes the pop sequence a pure function of the
+// heap's contents — independent of insertion order, of the heap layout and
+// of how the items were split across shard heaps — which the sharded
+// runner's determinism argument relies on.
+func (a item) before(b item) bool {
+	return a.key > b.key || a.key == b.key && a.id < b.id
+}
+
+// edgeHeap is a binary max-heap of items under item.before. It is typed
+// rather than a container/heap.Interface so the comparisons inline and no
+// item is boxed per push or pop.
 type edgeHeap []item
 
-func (h edgeHeap) Len() int { return len(h) }
-
-// Less orders the max-heap by key, with a total tie-break on the edge
-// identity. The total order makes the pop sequence a pure function of the
-// heap's contents — independent of insertion order and of how the items
-// were split across shard heaps — which the sharded runner's determinism
-// argument relies on.
-func (h edgeHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.key != b.key {
-		return a.key > b.key
+// init establishes heap order over the whole slice.
+func (h edgeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i, h[i])
 	}
-	if a.net != b.net {
-		return a.net < b.net
-	}
-	if a.edge != b.edge {
-		return a.edge < b.edge
-	}
-	return a.horz && !b.horz
 }
-func (h edgeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *edgeHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *edgeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *edgeHeap) push(it item) {
+	*h = append(*h, it)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = it
+}
+
+// pop removes and returns the first item under item.before. The heap must
+// be non-empty.
+func (h *edgeHeap) pop() item {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	*h = s[:n]
+	if n > 0 {
+		s[:n].siftDown(0, s[n])
+	}
+	return top
+}
+
+// siftDown places x into the hole at i and moves it down to its place.
+func (h edgeHeap) siftDown(i int, x item) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // NewRouter prepares the deletion state for the nets on g, constructing
@@ -306,7 +356,6 @@ func NewRouterOn(ctx context.Context, g *grid.Grid, cfg Config, nets []Net, pool
 	for i := range r.nets {
 		r.seedNet(i)
 	}
-	heap.Init(&r.pq)
 	return r, nil
 }
 
@@ -387,7 +436,7 @@ func (r *Router) makeNetState(net Net) netState {
 // 0..idx, so callers must invoke seedNet in ascending net order.
 func (r *Router) seedNet(idx int) {
 	r.bumpNet(idx)
-	r.pushNet(idx)
+	r.pushNet(idx, &r.pq)
 }
 
 // bumpNet adds net idx's full-connection-graph expected utilization to the
@@ -412,20 +461,18 @@ func (r *Router) bumpNet(idx int) {
 }
 
 // pushNet computes net idx's initial edge weights against the current base
-// state and appends them to the global heap slice.
-func (r *Router) pushNet(idx int) {
+// state and appends them, unordered, to pq.
+func (r *Router) pushNet(idx int, pq *edgeHeap) {
 	ns := &r.nets[idx]
 	bbox := ns.bbox
 	for y := bbox.MinY; y <= bbox.MaxY; y++ {
 		for x := bbox.MinX; x < bbox.MaxX; x++ {
-			r.pq = append(r.pq, item{net: int32(idx), edge: int32(ns.hEdge(x, y)), horz: true,
-				key: r.edgeWeight(idx, x, y, true, nil)})
+			*pq = append(*pq, newItem(idx, ns.hEdge(x, y), true, r.edgeWeight(idx, x, y, true, nil)))
 		}
 	}
 	for y := bbox.MinY; y < bbox.MaxY; y++ {
 		for x := bbox.MinX; x <= bbox.MaxX; x++ {
-			r.pq = append(r.pq, item{net: int32(idx), edge: int32(ns.vEdge(x, y)), horz: false,
-				key: r.edgeWeight(idx, x, y, false, nil)})
+			*pq = append(*pq, newItem(idx, ns.vEdge(x, y), false, r.edgeWeight(idx, x, y, false, nil)))
 		}
 	}
 }

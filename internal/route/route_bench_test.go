@@ -3,6 +3,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
@@ -93,5 +94,46 @@ func BenchmarkReconcile(b *testing.B) {
 				b.ReportMetric(float64(last.Reconciled), "reconciled")
 			})
 		}
+	}
+}
+
+// drainFixture builds one view over a congested 40×40 grid whose 1500
+// short nets overlap into one large overflowing component — the shape of
+// full-scale reconciliation's serial drain — with its heap ready to pop.
+func drainFixture(tb testing.TB) *view {
+	const side = 40
+	g, err := grid.New(side, side, 100, 100, 3, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	nets := make([]Net, 1500)
+	for i := range nets {
+		cx, cy := rng.Intn(side), rng.Intn(side)
+		pins := make([]geom.Point, 2+rng.Intn(3))
+		for j := range pins {
+			pins[j] = geom.Point{X: min(side-1, max(0, cx+rng.Intn(9)-4)), Y: min(side-1, max(0, cy+rng.Intn(9)-4))}
+		}
+		nets[i] = Net{ID: i, Pins: pins, Rate: 0.3}
+	}
+	r, err := NewRouter(g, Config{ShieldAware: true}, nets)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := newView(r, g.Bounds())
+	v.pq, r.pq = r.pq, nil
+	v.pq.init()
+	return v
+}
+
+// BenchmarkDrain measures the Phase I deletion kernel alone: heap pops,
+// lazy re-pushes, edge weights and the bridge check, on drainFixture.
+func BenchmarkDrain(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		v := drainFixture(b)
+		b.StartTimer()
+		v.drain()
 	}
 }

@@ -2,7 +2,6 @@ package route
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 
 	"repro/internal/geom"
@@ -33,6 +32,10 @@ type view struct {
 	dNnsV, dSumSV, dSumS2V []float64
 
 	pq edgeHeap
+
+	// scratch is the bridge check's search state, reused across pops. A
+	// view drains on one goroutine, so it needs no locking.
+	scratch bridgeScratch
 }
 
 func newView(r *Router, win geom.Rect) *view {
@@ -88,6 +91,7 @@ func (r *Router) Run() *Result {
 	v := newView(r, r.g.Bounds())
 	v.pq = r.pq
 	r.pq = nil
+	v.pq.init()
 	v.drain()
 	v.merge()
 	res := r.extract()
@@ -96,36 +100,45 @@ func (r *Router) Run() *Result {
 }
 
 // drain pops the view's heap to its fixpoint, deleting the highest-weight
-// deletable edge of the view's nets each step.
+// deletable edge of the view's nets each step. Past sizing the bridge
+// check's scratch up front, it allocates nothing: lazy re-pushes reuse the
+// slot the pop freed.
 func (v *view) drain() {
 	r := v.r
-	for v.pq.Len() > 0 {
-		it := heap.Pop(&v.pq).(item)
-		ns := &r.nets[it.net]
+	cells := 0
+	for _, it := range v.pq {
+		ns := &r.nets[it.net()]
+		cells = max(cells, ns.w*ns.h)
+	}
+	v.scratch.reserve(cells)
+	for len(v.pq) > 0 {
+		it := v.pq.pop()
+		ni, e, horz := it.net(), it.edge(), it.horz()
+		ns := &r.nets[ni]
 		var alive, frozen []bool
-		if it.horz {
+		if horz {
 			alive, frozen = ns.aliveH, ns.frozenH
 		} else {
 			alive, frozen = ns.aliveV, ns.frozenV
 		}
-		if !alive[it.edge] || frozen[it.edge] {
+		if !alive[e] || frozen[e] {
 			continue
 		}
-		x, y := r.edgeOrigin(ns, int(it.edge), it.horz)
-		w := r.edgeWeight(int(it.net), x, y, it.horz, v)
+		x, y := r.edgeOrigin(ns, e, horz)
+		w := r.edgeWeight(ni, x, y, horz, v)
 		if w < it.key-weightSlack {
 			it.key = w
-			heap.Push(&v.pq, it)
+			v.pq.push(it)
 			continue
 		}
-		if r.disconnectsPins(ns, int(it.edge), it.horz) {
-			frozen[it.edge] = true
+		if v.scratch.disconnects(ns, e, horz) {
+			frozen[e] = true
 			continue
 		}
 		// Delete the edge and release its expected utilization.
-		alive[it.edge] = false
+		alive[e] = false
 		ns.nAlive--
-		if it.horz {
+		if horz {
 			v.bumpH(x, y, ns.rate, -0.5)
 			v.bumpH(x+1, y, ns.rate, -0.5)
 		} else {
@@ -143,62 +156,98 @@ func (r *Router) edgeOrigin(ns *netState, e int, horz bool) (int, int) {
 	return ns.bbox.MinX + e%ns.w, ns.bbox.MinY + e/ns.w
 }
 
-// disconnectsPins reports whether removing edge e would disconnect the
-// net's pin regions in its surviving subgraph. BFS from one pin with the
-// edge masked.
-func (r *Router) disconnectsPins(ns *netState, e int, horz bool) bool {
+// bridgeScratch is the bridge check's reusable search state: an
+// epoch-stamped visited array (mark[v] == epoch means visited in the
+// current search, so nothing is cleared per call) and a BFS queue.
+type bridgeScratch struct {
+	mark  []uint32
+	epoch uint32
+	queue []int32
+}
+
+// reserve sizes the scratch for nets of up to cells local vertices.
+func (s *bridgeScratch) reserve(cells int) {
+	if len(s.mark) < cells {
+		s.mark = make([]uint32, cells)
+		s.epoch = 0
+	}
+	if cap(s.queue) < cells {
+		s.queue = make([]int32, 0, cells)
+	}
+}
+
+// disconnects reports whether removing alive edge e would disconnect the
+// net's pin regions in its surviving subgraph. The scratch must be
+// reserved for at least the net's w*h vertices.
+//
+// It relies on one invariant: on entry all pins are connected through
+// alive edges. Deletions never disconnect them, and a rip-up resets the
+// net to its full bbox graph. So removing edge (a,b) can disconnect pins
+// only if it is a bridge, and then exactly when a's side holds some but
+// not all of the pins. The search runs from a with the edge masked and
+// stops as soon as it reaches b.
+func (s *bridgeScratch) disconnects(ns *netState, e int, horz bool) bool {
 	if ns.npins <= 1 {
 		return false
 	}
-	start := -1
-	for v, isPin := range ns.pinMask {
-		if isPin {
-			start = v
-			break
-		}
+	w := ns.w
+	var a, b int
+	if horz {
+		a = e/(w-1)*w + e%(w-1)
+		b = a + 1
+	} else {
+		a, b = e, e+w
 	}
-	visited := make([]bool, ns.w*ns.h)
-	queue := make([]int, 0, ns.w*ns.h)
-	visited[start] = true
-	queue = append(queue, start)
-	seen := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		vx, vy := v%ns.w, v/ns.w // local coords
-		// Neighbors through alive, unmasked edges.
-		try := func(nv int, edgeIdx int, edgeHorz bool) {
-			var alive []bool
-			if edgeHorz {
-				alive = ns.aliveH
-			} else {
-				alive = ns.aliveV
-			}
-			if !alive[edgeIdx] || (edgeHorz == horz && edgeIdx == e) {
-				return
-			}
-			if !visited[nv] {
-				visited[nv] = true
-				if ns.pinMask[nv] {
-					seen++
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.mark)
+		s.epoch = 1
+	}
+	epoch, mark := s.epoch, s.mark
+	aliveH, aliveV := ns.aliveH, ns.aliveV
+	// The only edge between a and b is e; masking it means never stepping
+	// from a straight to b, and any other arrival at b ends the search.
+	mark[a] = epoch
+	q := append(s.queue[:0], int32(a))
+	pins := 0
+	for head := 0; head < len(q); head++ {
+		v := int(q[head])
+		if ns.pinMask[v] {
+			pins++
+		}
+		vx, vy := v%w, v/w
+		var nbr [4]int
+		n := 0
+		if vx > 0 && aliveH[vy*(w-1)+vx-1] {
+			nbr[n] = v - 1
+			n++
+		}
+		if vx < w-1 && aliveH[vy*(w-1)+vx] {
+			nbr[n] = v + 1
+			n++
+		}
+		if vy > 0 && aliveV[v-w] {
+			nbr[n] = v - w
+			n++
+		}
+		if vy < ns.h-1 && aliveV[v] {
+			nbr[n] = v + w
+			n++
+		}
+		for _, nv := range nbr[:n] {
+			if nv == b {
+				if v == a {
+					continue
 				}
-				queue = append(queue, nv)
+				return false
+			}
+			if mark[nv] != epoch {
+				mark[nv] = epoch
+				q = append(q, int32(nv))
 			}
 		}
-		if vx > 0 {
-			try(v-1, vy*(ns.w-1)+vx-1, true)
-		}
-		if vx < ns.w-1 {
-			try(v+1, vy*(ns.w-1)+vx, true)
-		}
-		if vy > 0 {
-			try(v-ns.w, (vy-1)*ns.w+vx, false)
-		}
-		if vy < ns.h-1 {
-			try(v+ns.w, vy*ns.w+vx, false)
-		}
 	}
-	return seen < ns.npins
+	return pins > 0 && pins < ns.npins
 }
 
 // extract materializes the surviving edges into trees and exact usage.

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -176,17 +175,17 @@ func (r *Router) runSharded(ctx context.Context, pool Pool, cfg ShardConfig, cap
 		}
 	}
 
-	// Split the seeded heap across the groups and restore heap order. The
-	// total order on items (see edgeHeap.Less) makes each group's pop
-	// sequence independent of how the global slice was interleaved.
+	// Split the seeded items across the groups and heapify each. The total
+	// order on items (see item.before) makes each group's pop sequence
+	// independent of how the global slice was interleaved.
 	ssp := cfg.Trace.Start(cfg.Lane, "route", "heap split").Arg("shards", int64(len(groups)))
 	for _, it := range r.pq {
-		v := views[owner[it.net]]
+		v := views[owner[it.net()]]
 		v.pq = append(v.pq, it)
 	}
 	r.pq = nil
 	for _, v := range views {
-		heap.Init(&v.pq)
+		v.pq.init()
 	}
 	ssp.End()
 
@@ -346,7 +345,7 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 		r.reseed(ni, &cviews[compOf[ni]].pq)
 	}
 	for _, v := range cviews {
-		heap.Init(&v.pq)
+		v.pq.init()
 	}
 	if pool == nil || len(cviews) == 1 {
 		for _, v := range cviews {
@@ -381,46 +380,64 @@ func (r *Router) reconcileRound(ctx context.Context, pool Pool, cfg ShardConfig,
 // components groups the ripped nets into bounding-box-overlap connected
 // components. The grouping is deterministic: components are ordered by
 // their smallest member and members ascend within each (the input is
-// ascending). Pairwise union-find over at most a round's overflow set —
-// quadratic in a count that is already small by construction.
+// ascending).
 func (r *Router) components(nets []int) [][]int {
-	parent := make([]int, len(nets))
+	rects := make([]geom.Rect, len(nets))
+	for i, ni := range nets {
+		rects[i] = r.nets[ni].bbox
+	}
+	comps := rectComponents(rects, r.g.Cols, r.g.Rows)
+	for _, members := range comps {
+		for k, i := range members {
+			members[k] = nets[i]
+		}
+	}
+	return comps
+}
+
+// rectComponents groups rect indices into overlap connected components,
+// ordered by smallest index with indices ascending within each. The rects
+// lie on a cols×rows grid, where two rects overlap exactly when they
+// share a cell. Each rect is united with the previous rect to cover each
+// of its cells, so all rects covering a cell end up in one component —
+// in time linear in the rects' total area rather than quadratic in their
+// count. Union order cannot change the components.
+func rectComponents(rects []geom.Rect, cols, rows int) [][]int {
+	parent := make([]int, len(rects))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for i := 0; i < len(nets); i++ {
-		for j := i + 1; j < len(nets); j++ {
-			if !rectsOverlap(r.nets[nets[i]].bbox, r.nets[nets[j]].bbox) {
-				continue
-			}
-			ri, rj := find(i), find(j)
-			if ri != rj {
-				if rj < ri {
-					ri, rj = rj, ri
+	last := make([]int, cols*rows) // cell -> 1 + the last rect covering it
+	for i, b := range rects {
+		for y := b.MinY; y <= b.MaxY; y++ {
+			for x := b.MinX; x <= b.MaxX; x++ {
+				c := y*cols + x
+				if last[c] > 0 {
+					ri, rj := find(i), find(last[c]-1)
+					if ri != rj {
+						parent[max(ri, rj)] = min(ri, rj)
+					}
 				}
-				parent[rj] = ri
+				last[c] = i + 1
 			}
 		}
 	}
-	groups := make(map[int]int) // root -> component index
+	compOf := make([]int, len(rects)) // root -> 1 + component index
 	var out [][]int
-	for i, ni := range nets {
+	for i := range rects {
 		root := find(i)
-		ci, ok := groups[root]
-		if !ok {
-			ci = len(out)
-			groups[root] = ci
+		if compOf[root] == 0 {
 			out = append(out, nil)
+			compOf[root] = len(out)
 		}
-		out[ci] = append(out[ci], ni)
+		out[compOf[root]-1] = append(out[compOf[root]-1], i)
 	}
 	return out
 }
@@ -435,33 +452,36 @@ func rectsOverlap(a, b geom.Rect) bool {
 func (r *Router) overflowNets() []int {
 	useH := make([]int, r.g.NumRegions())
 	useV := make([]int, r.g.NumRegions())
+	// stamp[i] == tag: region i is already listed for the current net and
+	// direction. Tags are distinct per (net, direction), so the array is
+	// never cleared.
+	stamp := make([]int, r.g.NumRegions())
 	touched := make([][2][]int, len(r.nets)) // per net: [H regions, V regions]
 	for ni := range r.nets {
 		ns := &r.nets[ni]
-		hSeen := make(map[int]bool)
-		vSeen := make(map[int]bool)
-		mark := func(seen map[int]bool, out *[]int, x, y int) {
+		mark := func(tag int, out *[]int, x, y int) {
 			i := y*r.g.Cols + x
-			if !seen[i] {
-				seen[i] = true
+			if stamp[i] != tag {
+				stamp[i] = tag
 				*out = append(*out, i)
 			}
 		}
+		hTag, vTag := 2*ni+1, 2*ni+2
 		for e, alive := range ns.aliveH {
 			if !alive {
 				continue
 			}
 			x, y := r.edgeOrigin(ns, e, true)
-			mark(hSeen, &touched[ni][0], x, y)
-			mark(hSeen, &touched[ni][0], x+1, y)
+			mark(hTag, &touched[ni][0], x, y)
+			mark(hTag, &touched[ni][0], x+1, y)
 		}
 		for e, alive := range ns.aliveV {
 			if !alive {
 				continue
 			}
 			x, y := r.edgeOrigin(ns, e, false)
-			mark(vSeen, &touched[ni][1], x, y)
-			mark(vSeen, &touched[ni][1], x, y+1)
+			mark(vTag, &touched[ni][1], x, y)
+			mark(vTag, &touched[ni][1], x, y+1)
 		}
 		for _, i := range touched[ni][0] {
 			useH[i]++
@@ -497,7 +517,7 @@ func (r *Router) overflowNets() []int {
 // reseed rips up net ni — its base utilization contribution reverts from
 // the current surviving graph to the full connection graph, its deletion
 // state resets, and its edges are pushed onto pq with fresh base weights —
-// exactly the state addNet would have left it in.
+// exactly the state seedNet would have left it in.
 func (r *Router) reseed(ni int, pq *edgeHeap) {
 	ns := &r.nets[ni]
 	for e, alive := range ns.aliveH {
@@ -523,31 +543,8 @@ func (r *Router) reseed(ni int, pq *edgeHeap) {
 		ns.frozenV[i] = false
 	}
 	ns.nAlive = len(ns.aliveH) + len(ns.aliveV)
-	b := ns.bbox
-	for y := b.MinY; y <= b.MaxY; y++ {
-		for x := b.MinX; x < b.MaxX; x++ {
-			r.bumpH(x, y, ns.rate, +0.5)
-			r.bumpH(x+1, y, ns.rate, +0.5)
-		}
-	}
-	for y := b.MinY; y < b.MaxY; y++ {
-		for x := b.MinX; x <= b.MaxX; x++ {
-			r.bumpV(x, y, ns.rate, +0.5)
-			r.bumpV(x, y+1, ns.rate, +0.5)
-		}
-	}
-	for y := b.MinY; y <= b.MaxY; y++ {
-		for x := b.MinX; x < b.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(ni), edge: int32(ns.hEdge(x, y)), horz: true,
-				key: r.edgeWeight(ni, x, y, true, nil)})
-		}
-	}
-	for y := b.MinY; y < b.MaxY; y++ {
-		for x := b.MinX; x <= b.MaxX; x++ {
-			*pq = append(*pq, item{net: int32(ni), edge: int32(ns.vEdge(x, y)), horz: false,
-				key: r.edgeWeight(ni, x, y, false, nil)})
-		}
-	}
+	r.bumpNet(ni)
+	r.pushNet(ni, pq)
 }
 
 func unionRect(a, b geom.Rect) geom.Rect {

@@ -241,3 +241,59 @@ func TestRunShardedContextCancel(t *testing.T) {
 		t.Error("cancelled context: want error")
 	}
 }
+
+// componentsPairwise is the reference for rectComponents: union-find over
+// every pair of rects, testing each with rectsOverlap.
+func componentsPairwise(rects []geom.Rect) [][]int {
+	parent := make([]int, len(rects))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+	for i := range rects {
+		for j := i + 1; j < len(rects); j++ {
+			if rectsOverlap(rects[i], rects[j]) {
+				ri, rj := find(i), find(j)
+				parent[max(ri, rj)] = min(ri, rj)
+			}
+		}
+	}
+	groups := make(map[int]int) // root -> component index
+	var out [][]int
+	for i := range rects {
+		root := find(i)
+		ci, ok := groups[root]
+		if !ok {
+			ci = len(out)
+			groups[root] = ci
+			out = append(out, nil)
+		}
+		out[ci] = append(out[ci], i)
+	}
+	return out
+}
+
+// TestComponentsMatchPairwise pins the cell-bucket components — membership
+// and order (by smallest member, members ascending) — to the all-pairs
+// scan on random rect sets, from sparse to fully overlapping, with
+// touching edges and single-cell rects common.
+func TestComponentsMatchPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		cols, rows := 1+rng.Intn(40), 1+rng.Intn(40)
+		rects := make([]geom.Rect, rng.Intn(60))
+		for i := range rects {
+			x, y := rng.Intn(cols), rng.Intn(rows)
+			rects[i] = geom.Rect{MinX: x, MinY: y, MaxX: min(cols-1, x+rng.Intn(6)), MaxY: min(rows-1, y+rng.Intn(6))}
+		}
+		got, want := rectComponents(rects, cols, rows), componentsPairwise(rects)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %v\nsweep    %v\npairwise %v", trial, rects, got, want)
+		}
+	}
+}
